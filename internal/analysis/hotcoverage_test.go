@@ -6,9 +6,9 @@ import (
 )
 
 // TestHotClosureCoversPerfLedgerStages pins hotalloc's hot set to the
-// perf-ledger surface: the five codec stages the ledger gates (huffman,
-// rangecoder, bitstream, sz, zfp) and the daemon data plane must all carry
-// //pressio:hotpath marks that the call graph turns into hot roots. If a
+// perf-ledger surface: the six codec stages the ledger gates (huffman,
+// rangecoder, bitstream, sz, zfp, fpzip) and the daemon data plane must all
+// carry //pressio:hotpath marks that the call graph turns into hot roots. If a
 // refactor drops a mark or renames an entry point, this fails before the
 // analyzer silently stops watching that stage.
 func TestHotClosureCoversPerfLedgerStages(t *testing.T) {
@@ -30,6 +30,7 @@ func TestHotClosureCoversPerfLedgerStages(t *testing.T) {
 		filepath.Join("internal", "bitstream"),
 		filepath.Join("internal", "sz"),
 		filepath.Join("internal", "zfp"),
+		filepath.Join("internal", "fpzip"),
 		filepath.Join("internal", "daemon"),
 	} {
 		pkg, err := loader.LoadDir(dir)
@@ -61,6 +62,10 @@ func TestHotClosureCoversPerfLedgerStages(t *testing.T) {
 		"huffman.Decode",
 		"rangecoder.(*Encoder).EncodeBit",
 		"rangecoder.(*Decoder).DecodeBit",
+		"rangecoder.(*Encoder).EncodeUnary",
+		"rangecoder.(*Decoder).DecodeUnary",
+		"rangecoder.(*Encoder).EncodeBitsRaw",
+		"rangecoder.(*Decoder).DecodeBitsRaw",
 		"bitstream.(*Writer).WriteBits",
 		"bitstream.(*Reader).ReadBits",
 		// error-bounded codec stages
@@ -68,6 +73,8 @@ func TestHotClosureCoversPerfLedgerStages(t *testing.T) {
 		"sz.DecompressSlice",
 		"zfp.CompressSlice",
 		"zfp.DecompressSlice",
+		"fpzip.CompressSlice",
+		"fpzip.DecompressSlice",
 		// daemon data plane (both /compress and /decompress route here)
 		"daemon.(*Daemon).handleData",
 	}

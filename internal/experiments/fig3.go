@@ -98,9 +98,15 @@ func nativeCompress(comp string, in *core.Data, relBound float64) error {
 	}
 }
 
+// minSamplePairs is the fewest interleaved native/generic call pairs one
+// Fig. 3 sample is made of.
+const minSamplePairs = 10
+
 // Fig3 runs the matched-pair overhead experiment: every configuration is
 // timed `runs` times through the native API and through the generic
-// interface, alternating which side goes first to cancel thermal drift.
+// interface. Each sample interleaves the two sides call by call,
+// alternating which goes first, to cancel thermal drift and load from
+// other processes.
 func Fig3(scale, runs int, seed int64) (Fig3Result, error) {
 	if runs < 4 {
 		runs = 4
@@ -124,10 +130,10 @@ func Fig3(scale, runs int, seed int64) (Fig3Result, error) {
 			return res, err
 		}
 		out := core.NewEmpty(core.DTypeByte, 0)
-		// Warm up both paths, and calibrate how many calls one timed
-		// sample needs: microsecond-scale calls are hopelessly noisy, so
-		// each sample repeats the call until it covers ~10 ms of work
-		// (identically on both sides, preserving the matched pairing).
+		// Warm up both paths, and calibrate how many call pairs one timed
+		// sample needs: enough to cover ~10 ms of work per side, and at
+		// least minSamplePairs, so that each side's fastest call is likely
+		// to have run undisturbed.
 		warm := time.Now()
 		if err := nativeCompress(cfg.Compressor, in, cfg.RelBound); err != nil {
 			return res, fmt.Errorf("%s native: %w", cfg, err)
@@ -136,54 +142,39 @@ func Fig3(scale, runs int, seed int64) (Fig3Result, error) {
 		if err := c.Compress(in, out); err != nil {
 			return res, fmt.Errorf("%s generic: %w", cfg, err)
 		}
-		reps := 1
-		if target := 10 * time.Millisecond; warmDur < target && warmDur > 0 {
-			reps = int(target / warmDur)
-			if reps > 200 {
-				reps = 200
-			}
-			if reps < 1 {
-				reps = 1
-			}
+		reps := 200
+		if warmDur > 0 {
+			reps = min(max(int(10*time.Millisecond/warmDur), minSamplePairs), 200)
 		}
 		nativeMS := make([]float64, runs)
 		genericMS := make([]float64, runs)
+		nativeCalls := make([]float64, reps)
+		genericCalls := make([]float64, reps)
 		for r := 0; r < runs; r++ {
-			runNative := func() error {
-				t := time.Now()
-				for k := 0; k < reps; k++ {
-					if err := nativeCompress(cfg.Compressor, in, cfg.RelBound); err != nil {
-						return err
+			// Interleave the two sides call by call, alternating which goes
+			// first, so load that comes and goes while the sample runs
+			// falls on both sides alike. Each side's sample is its fastest
+			// call: other processes on a shared machine and GC cycles only
+			// ever add time to a call, and on a loaded machine they can
+			// make one call take several times as long as the next.
+			for k := 0; k < reps; k++ {
+				nativeFirst := (r+k)%2 == 0
+				for _, isNative := range [2]bool{nativeFirst, !nativeFirst} {
+					t := time.Now()
+					if isNative {
+						err = nativeCompress(cfg.Compressor, in, cfg.RelBound)
+						nativeCalls[k] = float64(time.Since(t).Nanoseconds()) / 1e6
+					} else {
+						err = c.Compress(in, out)
+						genericCalls[k] = float64(time.Since(t).Nanoseconds()) / 1e6
+					}
+					if err != nil {
+						return res, fmt.Errorf("%s: %w", cfg, err)
 					}
 				}
-				nativeMS[r] = float64(time.Since(t).Nanoseconds()) / 1e6 / float64(reps)
-				return nil
 			}
-			runGeneric := func() error {
-				t := time.Now()
-				for k := 0; k < reps; k++ {
-					if err := c.Compress(in, out); err != nil {
-						return err
-					}
-				}
-				genericMS[r] = float64(time.Since(t).Nanoseconds()) / 1e6 / float64(reps)
-				return nil
-			}
-			var err error
-			if r%2 == 0 {
-				err = runNative()
-				if err == nil {
-					err = runGeneric()
-				}
-			} else {
-				err = runGeneric()
-				if err == nil {
-					err = runNative()
-				}
-			}
-			if err != nil {
-				return res, fmt.Errorf("%s: %w", cfg, err)
-			}
+			nativeMS[r] = stats.Min(nativeCalls)
+			genericMS[r] = stats.Min(genericCalls)
 		}
 		pct := make([]float64, runs)
 		for r := 0; r < runs; r++ {

@@ -157,10 +157,15 @@ func lorenzo(r []uint64, x, y, z, ny, nz int) uint64 {
 	}
 }
 
+// classCodeLen is the number of positions of the unary magnitude-class
+// code. Classes run 0..64, so class 64 still ends in a zero bit; a decoder
+// that reads 65 one-bits stops there.
+const classCodeLen = 65
+
 // coder holds the adaptive contexts: one probability per position of the
 // unary magnitude-class code.
 type coder struct {
-	classProbs [66]rangecoder.Prob
+	classProbs [classCodeLen]rangecoder.Prob
 }
 
 func newCoder() *coder {
@@ -176,30 +181,23 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 func (c *coder) encodeResidual(enc *rangecoder.Encoder, diff int64) {
 	z := zigzag(diff)
-	k := uint(bits.Len64(z)) // magnitude class: 0 for z==0
-	for i := uint(0); i < k; i++ {
-		enc.EncodeBit(&c.classProbs[i], 1)
-	}
-	if k < 65 {
-		enc.EncodeBit(&c.classProbs[k], 0)
-	}
+	k := bits.Len64(z) // magnitude class: 0 for z==0
+	enc.EncodeUnary(c.classProbs[:], k)
 	if k > 1 {
 		// MSB is implied; emit the k-1 low bits raw.
-		rem := k - 1
+		rem := uint(k - 1)
 		if rem > 32 {
 			enc.EncodeBitsRaw(uint32(z>>32), rem-32)
-			enc.EncodeBitsRaw(uint32(z), 32)
-		} else {
-			enc.EncodeBitsRaw(uint32(z), rem)
+			rem = 32
 		}
+		enc.EncodeBitsRaw(uint32(z), rem)
 	}
 }
 
 func (c *coder) decodeResidual(dec *rangecoder.Decoder) int64 {
-	k := uint(0)
-	for k < 65 && dec.DecodeBit(&c.classProbs[k]) == 1 {
-		k++
-	}
+	// DecodeUnary stops after len(classProbs) one-bits; the clamp states
+	// that cap here, where the class sizes the raw fields below.
+	k := uint(min(dec.DecodeUnary(c.classProbs[:]), classCodeLen))
 	if k == 0 {
 		return 0
 	}
@@ -208,14 +206,14 @@ func (c *coder) decodeResidual(dec *rangecoder.Decoder) int64 {
 		rem := k - 1
 		if rem > 32 {
 			z |= uint64(dec.DecodeBitsRaw(rem-32)) << 32
-			z |= uint64(dec.DecodeBitsRaw(32))
-		} else {
-			z |= uint64(dec.DecodeBitsRaw(rem))
+			rem = 32
 		}
+		z |= uint64(dec.DecodeBitsRaw(rem))
 	}
 	return unzigzag(z)
 }
 
+//pressio:hotpath measured by the perf ledger
 // CompressSlice compresses vals shaped dims (C order).
 func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	w := width[T]()
@@ -328,6 +326,7 @@ func ParseHeader(stream []byte) (Header, int, error) {
 	return h, pos, nil
 }
 
+//pressio:hotpath measured by the perf ledger
 // DecompressSlice decodes a stream produced by CompressSlice.
 func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 	h, pos, err := ParseHeader(stream)

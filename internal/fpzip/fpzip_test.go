@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pressio/internal/core"
+	"pressio/internal/sdrbench"
 )
 
 func TestOrdMappingRoundTrip32(t *testing.T) {
@@ -227,5 +228,31 @@ func BenchmarkCompressLossless(b *testing.B) {
 		if _, err := CompressSlice(vals, dims, Params{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecompressLossless decodes a smooth 3-D field (small residual
+// classes: mostly adaptive class bits) and a 1-D particle-like field (wide
+// classes: mostly raw bits).
+func BenchmarkDecompressLossless(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		data *core.Data
+	}{
+		{"smooth3d", sdrbench.ScaleLetKF(16, 64, 64, 1)},
+		{"particles1d", sdrbench.HACCParticles(1<<16, 1)},
+	} {
+		stream, err := CompressSlice(c.data.Float32s(), c.data.Dims(), Params{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(c.data.ByteLen()))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := DecompressSlice[float32](stream); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,11 @@
 // coder) in the style used by fpzip and LZMA: a 32-bit range with 11-bit
 // adaptive bit probabilities. The fpzip-family compressor uses it to entropy
 // code residual magnitude classes.
+//
+// The hot loops keep the range state in locals and code equiprobable bits
+// without data-dependent branches (LZMA's direct bits). The output is
+// defined by the bit-at-a-time reference coder the tests keep beside it:
+// every stream and every decoded value must match it exactly.
 package rangecoder
 
 const (
@@ -34,21 +39,24 @@ func NewEncoder() *Encoder {
 	return &Encoder{rng: 0xFFFFFFFF, cacheSz: 1}
 }
 
-func (e *Encoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || (e.low>>32) != 0 {
+// shiftLow moves the top byte of low out through the one-byte carry cache
+// and returns the shifted low.
+func (e *Encoder) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
+		carry := byte(low >> 32)
 		temp := e.cache
 		for {
-			e.out = append(e.out, temp+byte(e.low>>32))
+			e.out = append(e.out, temp+carry)
 			temp = 0xFF
 			e.cacheSz--
 			if e.cacheSz == 0 {
 				break
 			}
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 	}
 	e.cacheSz++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	return uint64(uint32(low) << 8)
 }
 
 //pressio:hotpath measured by the perf ledger
@@ -66,23 +74,56 @@ func (e *Encoder) EncodeBit(p *Prob, b int) {
 	}
 	for e.rng < topValue {
 		e.rng <<= 8
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 }
 
-// EncodeBitsRaw encodes n (≤ 32) equiprobable bits, MSB first.
-func (e *Encoder) EncodeBitsRaw(v uint32, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		e.rng >>= 1
-		bit := (v >> uint(i)) & 1
-		if bit != 0 {
-			e.low += uint64(e.rng)
-		}
-		for e.rng < topValue {
-			e.rng <<= 8
-			e.shiftLow()
+//pressio:hotpath measured by the perf ledger
+// EncodeUnary encodes k one-bits against probs[0..k-1] followed, when
+// k < len(probs), by a zero bit against probs[k]: the same bits as that
+// sequence of EncodeBit calls. It panics if k > len(probs).
+func (e *Encoder) EncodeUnary(probs []Prob, k int) {
+	low, rng := e.low, e.rng
+	for i := range probs[:k] {
+		p := &probs[i]
+		bound := (rng >> probBits) * uint32(*p)
+		low += uint64(bound)
+		rng -= bound
+		*p -= *p >> probMoves
+		for rng < topValue {
+			rng <<= 8
+			low = e.shiftLow(low)
 		}
 	}
+	if k < len(probs) {
+		p := &probs[k]
+		rng = (rng >> probBits) * uint32(*p)
+		*p += (1<<probBits - *p) >> probMoves
+		for rng < topValue {
+			rng <<= 8
+			low = e.shiftLow(low)
+		}
+	}
+	e.low, e.rng = low, rng
+}
+
+//pressio:hotpath measured by the perf ledger
+// EncodeBitsRaw encodes the n (≤ 32) low bits of v as equiprobable bits,
+// MSB first. Each bit halves the range and, when set, adds the new range
+// to low through a mask instead of a branch. The range is at least 2^24
+// before the halving, so a single 8-bit shift always renormalises it.
+func (e *Encoder) EncodeBitsRaw(v uint32, n uint) {
+	low, rng := e.low, e.rng
+	for n > 0 {
+		n--
+		rng >>= 1
+		low += uint64(rng & -(v >> n & 1))
+		if rng < topValue {
+			rng <<= 8
+			low = e.shiftLow(low)
+		}
+	}
+	e.low, e.rng = low, rng
 }
 
 // Finish flushes the coder and returns the encoded bytes. The Encoder must
@@ -90,7 +131,7 @@ func (e *Encoder) EncodeBitsRaw(v uint32, n uint) {
 func (e *Encoder) Finish() []byte {
 	if !e.finished {
 		for i := 0; i < 5; i++ {
-			e.shiftLow()
+			e.low = e.shiftLow(e.low)
 		}
 		e.finished = true
 	}
@@ -147,21 +188,58 @@ func (d *Decoder) DecodeBit(p *Prob) int {
 	return bit
 }
 
-// DecodeBitsRaw decodes n (≤ 32) equiprobable bits, MSB first.
-func (d *Decoder) DecodeBitsRaw(n uint) uint32 {
-	var v uint32
-	for i := uint(0); i < n; i++ {
-		d.rng >>= 1
-		var bit uint32
-		if d.code >= d.rng {
-			d.code -= d.rng
-			bit = 1
+//pressio:hotpath measured by the perf ledger
+// DecodeUnary decodes one-bits against probs[0], probs[1], ... until it
+// decodes a zero bit or has decoded len(probs) one-bits, and returns the
+// number of one-bits: the inverse of EncodeUnary.
+func (d *Decoder) DecodeUnary(probs []Prob) int {
+	code, rng := d.code, d.rng
+	k := 0
+	for ; k < len(probs); k++ {
+		p := &probs[k]
+		bound := (rng >> probBits) * uint32(*p)
+		zero := code < bound
+		if zero {
+			rng = bound
+			*p += (1<<probBits - *p) >> probMoves
+		} else {
+			code -= bound
+			rng -= bound
+			*p -= *p >> probMoves
 		}
-		v = v<<1 | bit
-		for d.rng < topValue {
-			d.rng <<= 8
-			d.code = d.code<<8 | uint32(d.nextByte())
+		for rng < topValue {
+			rng <<= 8
+			code = code<<8 | uint32(d.nextByte())
+		}
+		if zero {
+			break
 		}
 	}
+	d.code, d.rng = code, rng
+	return k
+}
+
+//pressio:hotpath measured by the perf ledger
+// DecodeBitsRaw decodes n (≤ 32) equiprobable bits, MSB first. Each bit
+// is the borrow of code minus the halved range, taken from a 64-bit
+// subtraction; it selects through a mask whether the range is subtracted.
+// LZMA reads the borrow from bit 31 of a 32-bit subtraction instead, which
+// agrees only while code < range. A corrupt stream can push code above the
+// range, and there only the full borrow decodes what the bit-at-a-time
+// coder did.
+func (d *Decoder) DecodeBitsRaw(n uint) uint32 {
+	code, rng := d.code, d.rng
+	var v uint32
+	for ; n > 0; n-- {
+		rng >>= 1
+		zero := uint32((uint64(code) - uint64(rng)) >> 63) // 1 when code < rng
+		code -= rng & (zero - 1)
+		v = v<<1 | (zero ^ 1)
+		if rng < topValue {
+			rng <<= 8
+			code = code<<8 | uint32(d.nextByte())
+		}
+	}
+	d.code, d.rng = code, rng
 	return v
 }

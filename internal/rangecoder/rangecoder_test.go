@@ -151,3 +151,49 @@ func BenchmarkEncodeBit(b *testing.B) {
 		enc.Finish()
 	}
 }
+
+// rawFields is a seeded stream of raw bit fields with the widths fpzip
+// issues for residual classes 2..33.
+func rawFields() (vals []uint32, widths []uint, nbits int) {
+	rng := rand.New(rand.NewSource(1))
+	vals = make([]uint32, 1<<14)
+	widths = make([]uint, len(vals))
+	for i := range vals {
+		widths[i] = uint(1 + rng.Intn(32))
+		vals[i] = rng.Uint32() >> (32 - widths[i])
+		nbits += int(widths[i])
+	}
+	return vals, widths, nbits
+}
+
+func BenchmarkEncodeBitsRaw(b *testing.B) {
+	vals, widths, nbits := rawFields()
+	b.SetBytes(int64(nbits / 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc := NewEncoder()
+		for j, v := range vals {
+			enc.EncodeBitsRaw(v, widths[j])
+		}
+		enc.Finish()
+	}
+}
+
+func BenchmarkDecodeBitsRaw(b *testing.B) {
+	vals, widths, nbits := rawFields()
+	enc := NewEncoder()
+	for j, v := range vals {
+		enc.EncodeBitsRaw(v, widths[j])
+	}
+	stream := enc.Finish()
+	b.SetBytes(int64(nbits / 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec := NewDecoder(stream)
+		for j := range vals {
+			if dec.DecodeBitsRaw(widths[j]) != vals[j] {
+				b.Fatalf("field %d decoded wrong", j)
+			}
+		}
+	}
+}

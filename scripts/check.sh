@@ -7,10 +7,10 @@
 # smoke-test the sharded cluster topology (3 shards + router, SIGKILL
 # failover, cross-process trace continuity), smoke-test the crash-consistent
 # object store (SIGKILL mid-load, recovery, byte-exact reads, clean fsck),
-# smoke-fuzz the stream decoders, run the disabled-tracing overhead
-# benchmark that guards the "near-zero cost when off" promise, and gate a
-# quick perf-ledger measurement against the most recent committed
-# BENCH_<date>.json (see docs/OBSERVABILITY.md).
+# smoke-fuzz the stream decoders and the range coder against its reference,
+# run the disabled-tracing overhead benchmark that guards the "near-zero cost
+# when off" promise, and gate a quick perf-ledger measurement against the
+# most recent committed BENCH_<date>.json (see docs/OBSERVABILITY.md).
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -51,6 +51,7 @@ echo "==> fuzz smoke (decoders, 5s each; corpora replay known crashers)"
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/sz/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/zfp/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/fpzip/
+go test -fuzz 'FuzzCoderMatchesReference' -fuzztime 5s ./internal/rangecoder/
 go test -fuzz 'FuzzDecodeFrame' -fuzztime 5s ./internal/resilience/
 go test -fuzz 'FuzzDecodeRecord' -fuzztime 5s ./internal/store/
 
